@@ -14,10 +14,11 @@ Run:  python examples/heuristic_tuning.py      (takes a minute or two)
 from repro import SpDConfig
 from repro.bench import BenchmarkRunner, NRC_BENCHMARKS
 from repro.machine import machine
+from repro.pipeline import PipelineConfig
 
 
 def evaluate(config: SpDConfig, names, mach):
-    runner = BenchmarkRunner(spd_config=config)
+    runner = BenchmarkRunner(PipelineConfig(spd_config=config))
     speedups, growths = [], []
     for name in names:
         speedups.append(runner.spec_over_static(name, mach))

@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..disambig.pipeline import DisambiguationResult, Disambiguator
-from ..disambig.spd_heuristic import SpDConfig
-from ..engines import DEFAULT_ENGINE
-from ..frontend.grafting import GraftConfig
 from ..hwsim.core import HwTiming
 from ..ir.program import Program
 from ..machine.description import LifeMachine
 from ..machine.hw import HwMachine
-from ..passes import PassPipelineConfig
-from ..pipeline.core import Pipeline
+from ..pipeline.core import Pipeline, PipelineConfig
 from ..pipeline.executor import HwTimingJob, TimingJob, ViewJob
 from ..pipeline.store import ArtifactStore
 from ..sim.evaluate import ProgramTiming
@@ -61,24 +57,10 @@ class CompiledBenchmark:
 class BenchmarkRunner:
     """Name-addressed façade over the artifact-store pipeline."""
 
-    def __init__(self, spd_config: SpDConfig = SpDConfig(),
-                 validate_spec_output: bool = True,
-                 graft: Optional[GraftConfig] = None,
-                 jobs: int = 1,
-                 store: Optional[ArtifactStore] = None,
-                 passes: Optional[PassPipelineConfig] = None,
-                 guard_words: int = 0,
-                 engine: str = DEFAULT_ENGINE):
-        self.spd_config = spd_config
-        self.validate_spec_output = validate_spec_output
-        self.graft = graft
+    def __init__(self, config: PipelineConfig = PipelineConfig(),
+                 jobs: int = 1, store: Optional[ArtifactStore] = None):
         self.jobs = jobs
-        self.pipeline = Pipeline(spd_config=spd_config, graft=graft,
-                                 validate_spec_output=validate_spec_output,
-                                 store=store, passes=passes,
-                                 guard_words=guard_words, engine=engine)
-        self.engine = self.pipeline.engine
-        self.passes = self.pipeline.passes
+        self.pipeline = Pipeline(config, store)
         self._compiled: Dict[str, CompiledBenchmark] = {}
 
     # -- stages ------------------------------------------------------------

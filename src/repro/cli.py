@@ -28,9 +28,22 @@ repeatable).  ``report`` honors the SpD and pass knobs too.
 ``run``/``analyze``/``bench``/``trace``/``report``/``hwcompare`` and
 ``perf check`` accept ``--engine {interp,jit}`` (default ``jit``) to
 pick the execution engine for program runs; ``fuzz --engine`` also
-accepts ``all`` (the default) to cross-check every registered semantic
-engine.  Engines are reference-identical (docs/architecture.md,
-"Execution engines").
+accepts ``all`` (the default) to cross-check every registered engine.
+Engines are reference-identical (docs/architecture.md, "Execution
+engines").
+
+Every subcommand shares one error contract (:func:`main`): a failure
+the user can cause ends in one ``repro: error: ...`` line on stderr
+(after argparse's usage line, for argument errors), never a traceback,
+and exits with
+
+* ``1`` — a check failed (a perf regression, a fuzz divergence, a
+  corpus verify mismatch, loadgen errors) or an unknown pass name;
+* ``2`` — bad usage or unreadable input: an argument error, a missing
+  or unreadable file, malformed JSON, an unwritable output file;
+* ``3`` — the tinyc source does not compile;
+* ``4`` — the program fails at run time (a bad address, a division by
+  zero, the step limit).
 
 ``analyze``, ``bench``, ``trace`` and ``report`` accept ``--json OUT``
 to write a machine-readable result (schemas in docs/observability.md)
@@ -43,6 +56,7 @@ out over worker processes, and both are served from the artifact cache
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,16 +67,20 @@ from .bench.runner import BenchmarkRunner
 from .bench.suite import SUITE
 from .disambig.pipeline import Disambiguator, disambiguate
 from .disambig.spd_heuristic import SpDConfig
-from .engines import DEFAULT_ENGINE, semantic_engine_names
+from .engines import DEFAULT_ENGINE, engine_names
 from .frontend.driver import compile_source
+from .frontend.errors import CompileError
 from .frontend.grafting import GraftConfig, graft_program
 from .ir.printer import format_program
 from .machine.description import machine
 from .machine.hw import PREDICTOR_NAMES
 from .passes import (DEFAULT_CLEANUP, PassPipelineConfig, UnknownPassError,
-                     registered_passes)
+                     cleanup_from_spec, registered_passes)
+from .pipeline.core import Pipeline, PipelineConfig
+from .pipeline.executor import HwTimingJob, TimingJob
+from .pipeline.store import ArtifactStore
 from .sim.evaluate import evaluate_program
-from .sim.interpreter import run_program
+from .sim.interpreter import InterpreterError, run_program
 
 __all__ = ["main"]
 
@@ -70,12 +88,30 @@ __all__ = ["main"]
 #: the corpus import at CLI startup (pinned by tests/corpus/test_cli).
 _DEFAULT_CORPUS_MANIFEST = Path("benchmarks") / "corpus" / "manifest.json"
 
+#: Exit statuses of the error contract (see the module docstring).
+EXIT_USAGE, EXIT_COMPILE, EXIT_RUNTIME = 2, 3, 4
+
+
+def _fail(status: int, message: str) -> int:
+    """Report a user-caused failure as one stderr line; return *status*."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return status
+
+
+class _UnreadableSource(Exception):
+    """The tinyc source file named on the command line cannot be read."""
+
 
 def _load_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as handle:
-        return handle.read()
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise _UnreadableSource(str(error)) from error
+    except UnicodeDecodeError as error:
+        raise _UnreadableSource(f"{path}: not a text file") from error
 
 
 def _machine_from(args) -> "machine":
@@ -83,64 +119,55 @@ def _machine_from(args) -> "machine":
     return machine(num_fus, args.memory)
 
 
-def _engine_from(args) -> str:
-    return getattr(args, "engine", DEFAULT_ENGINE)
-
-
-def _spd_config_from(args) -> SpDConfig:
-    return SpDConfig(max_expansion=args.max_expansion,
-                     min_gain=args.min_gain,
-                     alias_probability_weighting=args.profiled_alias)
-
-
-def _pass_config_from(args) -> PassPipelineConfig:
-    """``--passes``/``--dump-after`` -> a validated pipeline config.
+def _pipeline_config_from(args) -> PipelineConfig:
+    """The toolchain configuration the SpD, pass, graft and engine
+    flags describe.
 
     ``--passes`` accepts a comma-separated cleanup pass list, the word
     ``default`` (= ``constfold,copyprop,dce``) or ``none`` (= empty, the
     default: the paper's unaltered toolchain).
     """
-    spec = getattr(args, "passes", None)
-    dump = tuple(getattr(args, "dump_after", None) or ())
-    if spec is None or spec == "none":
-        cleanup = ()
-    elif spec == "default":
-        cleanup = DEFAULT_CLEANUP
-    else:
-        cleanup = tuple(name for name in spec.split(",") if name)
     try:
-        return PassPipelineConfig(cleanup=cleanup, dump_after=dump).validated()
+        return PipelineConfig(
+            spd_config=SpDConfig(
+                max_expansion=args.max_expansion, min_gain=args.min_gain,
+                alias_probability_weighting=args.profiled_alias),
+            graft=GraftConfig() if getattr(args, "graft", False) else None,
+            passes=PassPipelineConfig(
+                cleanup=cleanup_from_spec(args.passes),
+                dump_after=tuple(args.dump_after or ())),
+            engine=args.engine)
     except UnknownPassError as error:
-        raise SystemExit(f"repro: {error}")
+        raise SystemExit(f"repro: error: {error}")
 
 
-def _write_json(path: str, payload: dict) -> int:
+def _write_text(path: str, text: str, flag: str = "--out") -> int:
+    """Write raw *text* to *path* ('-' = stdout), the value of the
+    output option *flag*; return an exit status."""
+    if path == "-":
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {flag} output: {exc}")
+    return 0
+
+
+def _write_json(path: str, payload: dict, flag: str = "--json") -> int:
     """Write *payload* to *path* ('-' = stdout); return an exit status.
 
     Keys are sorted so exports are byte-stable across runs — metrics
     merged back from multiprocessing workers arrive in pool-scheduling
     order, and that order must not leak into the serialised output."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path == "-":
-        print(text)
-        return 0
-    try:
-        with open(path, "w") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:
-        print(f"cannot write --json output: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _machine_dict(mach) -> dict:
-    return {"name": mach.name, "num_fus": mach.num_fus,
-            "memory_latency": mach.memory_latency}
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True)
+                       + "\n", flag)
 
 
 def _cmd_run(args) -> int:
     program = compile_source(_load_source(args.program))
-    result = run_program(program, engine=_engine_from(args))
+    result = run_program(program, engine=args.engine)
     for value in result.output:
         print(value)
     print(f"[{result.steps} operations executed]", file=sys.stderr)
@@ -157,11 +184,8 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _analyze(program, mach, label: str,
-             spd_config: SpDConfig = SpDConfig(),
-             reference=None, stages=None,
-             passes: Optional[PassPipelineConfig] = None,
-             engine: str = DEFAULT_ENGINE) -> dict:
+def _analyze(program, mach, label: str, config: PipelineConfig,
+             reference=None, stages=None) -> dict:
     """Print the per-disambiguator cycle table; return it structured.
 
     ``stages(kind) -> (view, timing)``, when given, supplies the
@@ -169,20 +193,20 @@ def _analyze(program, mach, label: str,
     instead of the ad-hoc computation used for loose source files.
     """
     if reference is None:
-        reference = run_program(program, engine=engine)
+        reference = run_program(program, engine=config.engine)
     print(f"{label}: {program.size()} ops, output {reference.output[:6]}"
           f"{'...' if len(reference.output) > 6 else ''}")
     print(f"machine: {mach.name}")
     data: dict = {"program": label, "ops": program.size(),
-                  "machine": _machine_dict(mach), "disambiguators": {}}
+                  "machine": mach.as_dict(), "disambiguators": {}}
     naive_cycles: Optional[int] = None
     for kind in Disambiguator:
         if stages is not None:
             view, timing = stages(kind)
         else:
             view = disambiguate(program, kind, profile=reference.profile,
-                                machine=mach, spd_config=spd_config,
-                                passes=passes)
+                                machine=mach, spd_config=config.spd_config,
+                                passes=config.passes)
             timing = evaluate_program(view.program, view.graphs, mach,
                                       reference.profile)
         if kind is Disambiguator.NAIVE:
@@ -209,18 +233,16 @@ def _analyze(program, mach, label: str,
 def _run_analysis(args, program, label: str, reference=None,
                   stages=None) -> int:
     """Shared analyze/bench tail: text table, optional JSON + trace."""
-    mach = _machine_from(args)
-    spd_config = _spd_config_from(args)
-    passes = _pass_config_from(args)
-    engine = _engine_from(args)
+    analyze = functools.partial(_analyze, program, _machine_from(args), label,
+                                _pipeline_config_from(args), reference,
+                                stages)
     profiling = getattr(args, "profile", False)
     if args.json or profiling:
         if profiling:
             obs.enable_profiling()
         try:
             with obs.tracing() as tracer:
-                data = _analyze(program, mach, label, spd_config, reference,
-                                stages, passes, engine)
+                data = analyze()
         finally:
             obs.disable_profiling()
         if profiling:
@@ -233,8 +255,7 @@ def _run_analysis(args, program, label: str, reference=None,
                        **tracer.to_dict()}
             return _write_json(args.json, payload)
         return 0
-    _analyze(program, mach, label, spd_config, reference, stages, passes,
-             engine)
+    analyze()
     return 0
 
 
@@ -248,24 +269,16 @@ def _cmd_analyze(args) -> int:
 def _cmd_bench(args) -> int:
     if args.corpus is not None:
         if args.name is not None:
-            print("bench: give either a benchmark name or --corpus, "
-                  "not both", file=sys.stderr)
-            return 2
+            return _fail(EXIT_USAGE, "bench: give either a benchmark "
+                         "name or --corpus, not both")
         return _cmd_bench_corpus(args)
     if args.name is None:
-        print("bench: benchmark name required (or --corpus); "
-              "see 'repro list'", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, "bench: benchmark name required "
+                     "(or --corpus); see 'repro list'")
     if args.name not in SUITE:
-        print(f"unknown benchmark {args.name!r}; see 'repro list'",
-              file=sys.stderr)
-        return 2
-    runner = BenchmarkRunner(
-        spd_config=_spd_config_from(args),
-        graft=GraftConfig() if args.graft else None,
-        jobs=args.jobs,
-        passes=_pass_config_from(args),
-        engine=_engine_from(args))
+        return _fail(EXIT_USAGE, f"unknown benchmark {args.name!r}; "
+                     "see 'repro list'")
+    runner = BenchmarkRunner(_pipeline_config_from(args), jobs=args.jobs)
     mach = _machine_from(args)
     if args.jobs > 1:
         runner.prefetch_timings([(args.name, kind, mach)
@@ -285,18 +298,13 @@ def _cmd_bench_corpus(args) -> int:
     cached pipeline and write the BENCH_corpus.json payload."""
     from .corpus import history_benchmarks, load_manifest, run_corpus_bench
     from .machine.hw import hw_machine
-    from .pipeline.core import Pipeline
 
     try:
         manifest = load_manifest(args.corpus)
     except (OSError, ValueError) as error:
-        print(f"bench --corpus: {error}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"bench --corpus: {error}")
     mach = _machine_from(args)
-    pipeline = Pipeline(spd_config=_spd_config_from(args),
-                        graft=GraftConfig() if args.graft else None,
-                        passes=_pass_config_from(args),
-                        engine=_engine_from(args))
+    pipeline = Pipeline(_pipeline_config_from(args))
     hw = (hw_machine(4, mach.latencies.memory)
           if args.hw_sample > 0 else None)
     try:
@@ -306,8 +314,7 @@ def _cmd_bench_corpus(args) -> int:
             manifest_path=args.corpus,
             progress=lambda msg: print(f"corpus: {msg}", file=sys.stderr))
     except ValueError as error:
-        print(f"bench --corpus: {error}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"bench --corpus: {error}")
     totals = payload["totals"]
     selection = payload["selection"]
     print(f"corpus bench: {selection['programs']} programs in "
@@ -326,17 +333,15 @@ def _cmd_bench_corpus(args) -> int:
     if args.record:
         from .perf.history import append_record, make_record
         if mach.num_fus is None:
-            print("bench --corpus: --record needs a finite machine "
-                  "(the history schema records num_fus >= 1)",
-                  file=sys.stderr)
-            return 2
+            return _fail(EXIT_USAGE, "bench --corpus: --record needs a "
+                         "finite machine (the history schema records "
+                         "num_fus >= 1)")
         try:
             record = make_record(mach.name, mach.num_fus,
                                  mach.latencies.memory,
                                  history_benchmarks(payload))
         except ValueError as error:
-            print(f"bench --corpus: {error}", file=sys.stderr)
-            return 2
+            return _fail(EXIT_USAGE, f"bench --corpus: {error}")
         append_record(args.record, record)
         print(f"corpus bench: recorded to {args.record}")
     if args.json:
@@ -367,8 +372,7 @@ def _cmd_corpus(args) -> int:
     try:
         manifest = load_manifest(args.manifest)
     except (OSError, ValueError) as error:
-        print(f"corpus {args.corpus_command}: {error}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"corpus {args.corpus_command}: {error}")
     if args.corpus_command == "verify":
         problems = verify_manifest(manifest, full=args.full,
                                    progress=progress)
@@ -400,20 +404,6 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _write_text(path: str, text: str) -> int:
-    """Write raw *text* to *path* ('-' = stdout); return an exit status."""
-    if path == "-":
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(path, "w") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"cannot write --out output: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _print_histograms(tracer) -> None:
     """Percentile summaries of the span-duration histograms."""
     spans = {name: summary
@@ -438,28 +428,15 @@ def _cmd_trace(args) -> int:
     """Run the full cached pipeline under tracing; show the per-pass
     tree, or export it (``--format chrome`` / ``--format folded``)."""
     from .machine.hw import hw_machine
-    from .pipeline.core import Pipeline
-    from .pipeline.executor import HwTimingJob, TimingJob
-    from .pipeline.store import ArtifactStore
 
-    if args.target in SUITE:
-        label, source = args.target, SUITE[args.target].source
-    else:
-        try:
-            label, source = args.target, _load_source(args.target)
-        except OSError as error:
-            print(f"{args.target!r} is neither a built-in benchmark nor "
-                  f"a readable file: {error}", file=sys.stderr)
-            return 2
+    label = args.target
+    source = (SUITE[label].source if label in SUITE
+              else _load_source(label))
     mach = _machine_from(args)
     # a fresh memory-only store: every stage is a cold miss, so the
     # trace shows the real pipeline (a shared disk cache would hide
     # stages behind hits)
-    pipeline = Pipeline(spd_config=_spd_config_from(args),
-                        graft=GraftConfig() if args.graft else None,
-                        store=ArtifactStore(None),
-                        passes=_pass_config_from(args),
-                        engine=_engine_from(args))
+    pipeline = Pipeline(_pipeline_config_from(args), ArtifactStore(None))
     hw_mach = (hw_machine(4, mach.memory_latency)
                if args.hw else None)
     if args.profile:
@@ -491,9 +468,7 @@ def _cmd_trace(args) -> int:
 
     if args.format == "chrome":
         payload = obs.to_chrome_trace(root, process_name=f"repro {label}")
-        return _write_text(args.out,
-                           json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
+        return _write_json(args.out, payload, "--out")
     if args.format == "folded":
         return _write_text(args.out, obs.to_folded_stacks(root))
 
@@ -516,7 +491,7 @@ def _cmd_trace(args) -> int:
             print(tables)
     if args.json:
         payload = {"schema": "repro.trace/1", "program": label,
-                   "machine": _machine_dict(mach), **tracer.to_dict()}
+                   "machine": mach.as_dict(), **tracer.to_dict()}
         return _write_json(args.json, payload)
     return 0
 
@@ -525,19 +500,18 @@ def _cmd_schedule(args) -> int:
     from .sched.dump import format_schedule
     from .sched.list_scheduler import list_schedule
 
+    config = _pipeline_config_from(args)
     program = compile_source(_load_source(args.program))
     if args.graft:
         program, _stats = graft_program(program)
     mach = _machine_from(args)
     if mach.is_infinite:
-        print("schedule dumps need a finite machine (--fus N > 0)",
-              file=sys.stderr)
-        return 2
-    profile = run_program(program, engine=_engine_from(args)).profile
+        return _fail(EXIT_USAGE,
+                     "schedule dumps need a finite machine (--fus N > 0)")
+    profile = run_program(program, engine=config.engine).profile
     kind = Disambiguator.SPEC if args.spec else Disambiguator.STATIC
     view = disambiguate(program, kind, profile=profile, machine=mach,
-                        spd_config=_spd_config_from(args),
-                        passes=_pass_config_from(args))
+                        spd_config=config.spd_config, passes=config.passes)
     for (func, name), graph in sorted(view.graphs.items()):
         if args.tree and args.tree not in name:
             continue
@@ -613,9 +587,7 @@ def _cmd_hwcompare(args) -> int:
     """Compiler vs. hardware disambiguation sweep (docs/hardware-baseline.md)."""
     from .experiments import hw_compare
 
-    runner = BenchmarkRunner(spd_config=_spd_config_from(args),
-                             jobs=args.jobs, passes=_pass_config_from(args),
-                             engine=_engine_from(args))
+    runner = BenchmarkRunner(_pipeline_config_from(args), jobs=args.jobs)
     names = args.names or None
 
     def produce():
@@ -645,8 +617,7 @@ def _cmd_perf_check(args) -> int:
     names = (args.names.split(",") if args.names else list(SUITE))
     unknown = [name for name in names if name not in SUITE]
     if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"unknown benchmarks: {', '.join(unknown)}")
     stages = tuple(s for s in args.stages.split(",") if s)
     try:
         result = perf_check.run_check(
@@ -654,11 +625,10 @@ def _cmd_perf_check(args) -> int:
             memory_latency=args.memory, threshold=args.threshold,
             min_ms=args.min_ms, stages=stages,
             progress=lambda msg: print(f"  {msg}"),
-            engine=_engine_from(args))
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        print(f"cannot load baseline {args.against!r}: {error}",
-              file=sys.stderr)
-        return 2
+            engine=args.engine)
+    except (OSError, ValueError) as error:
+        return _fail(EXIT_USAGE,
+                     f"cannot load baseline {args.against!r}: {error}")
     print(result.render())
     if args.record:
         mach = make_machine(args.fus, args.memory)
@@ -680,8 +650,7 @@ def _cmd_perf_history(args) -> int:
 
     records = load_records(args.path)
     if not records:
-        print(f"no history records in {args.path}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"no history records in {args.path}")
     shown = records[-args.limit:] if args.limit > 0 else records
     print(f"perf history: {args.path} ({len(records)} records, "
           f"showing {len(shown)})")
@@ -708,6 +677,7 @@ def _cmd_perf_history(args) -> int:
 def _cmd_serve(args) -> int:
     """Serve the pipeline over HTTP/JSON (see docs/serving.md)."""
     import asyncio
+    import signal
 
     from .serve import ServeApp, ServeConfig
 
@@ -718,26 +688,34 @@ def _cmd_serve(args) -> int:
             batch_max=args.batch_max, batch_window_s=args.batch_window,
             cache_root=args.cache, cache_budget_mb=args.cache_budget_mb)
     except ValueError as error:
-        print(f"repro serve: {error}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"serve: {error}")
 
-    async def serve() -> None:
-        app = ServeApp(config)
-        port = await app.start()
+    app = ServeApp(config)
+
+    def listening(port: int) -> None:
         root = app.service.store.root
         print(f"repro serve: listening on http://{config.host}:{port}/v1/ "
               f"({config.jobs} worker{'s' if config.jobs != 1 else ''}, "
               f"cache {root if root is not None else 'memory-only'})",
               flush=True)
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await app.stop()
+
+    async def serve() -> None:
+        # SIGTERM (a supervisor) and SIGINT (Ctrl-C) both end in a clean
+        # stop: the pool workers exit and the listening socket closes
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except NotImplementedError:
+                pass  # no loop signal handlers (Windows): Ctrl-C raises
+        await app.run_until(stop, on_listening=listening)
 
     try:
         asyncio.run(serve())
     except KeyboardInterrupt:
-        print("repro serve: shutting down", file=sys.stderr)
+        pass
+    print("repro serve: shut down", file=sys.stderr)
     return 0
 
 
@@ -753,8 +731,7 @@ def _cmd_loadgen(args) -> int:
         try:
             manifest = load_manifest(args.corpus)
         except (OSError, ValueError) as error:
-            print(f"repro loadgen: {error}", file=sys.stderr)
-            return 2
+            return _fail(EXIT_USAGE, f"loadgen: {error}")
         # the smoke cross-section keeps a cold warmup interactive while
         # still spanning every stratum (program sizes 40-1500 ops)
         programs = [(entry["id"], entry_source(manifest, entry))
@@ -768,8 +745,7 @@ def _cmd_loadgen(args) -> int:
             timeout=args.timeout, programs=programs,
             program_pool=program_pool)
     except (OSError, RuntimeError, ValueError) as error:
-        print(f"repro loadgen: {error}", file=sys.stderr)
-        return 2
+        return _fail(EXIT_USAGE, f"loadgen: {error}")
     results = payload["results"]
     latency = results["latency_ms"]
     server = results["server_latency_ms"]
@@ -791,9 +767,7 @@ def _cmd_report(args) -> int:
     from .experiments import (ablation, figure6_2, figure6_3, figure6_4,
                               table6_1, table6_2, table6_3)
     jobs = args.jobs
-    runner = BenchmarkRunner(spd_config=_spd_config_from(args), jobs=jobs,
-                             passes=_pass_config_from(args),
-                             engine=_engine_from(args))
+    runner = BenchmarkRunner(_pipeline_config_from(args), jobs=jobs)
     producers = {
         "table6_1": lambda: table6_1.run(),
         "table6_2": lambda: table6_2.run(),
@@ -874,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable)")
 
     def add_engine_flag(p):
-        p.add_argument("--engine", choices=semantic_engine_names(),
+        p.add_argument("--engine", choices=engine_names(),
                        default=DEFAULT_ENGINE,
                        help="execution engine for program runs "
                             "(default %(default)s; all engines are "
@@ -1048,11 +1022,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--no-reduce", action="store_true",
                         help="archive diverging programs unreduced")
     p_fuzz.add_argument("--engine",
-                        choices=semantic_engine_names() + ("all",),
+                        choices=engine_names() + ("all",),
                         default="all",
                         help="execution backend(s) for the differential "
                              "checks (default all: every registered "
-                             "semantic engine)")
+                             "engine)")
     add_json_flag(p_fuzz)
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -1200,9 +1174,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse *argv* (default: sys.argv) and run the chosen subcommand."""
+    """Parse *argv* (default: sys.argv) and run the chosen subcommand.
+
+    A compile error, a run-time error or an unreadable source file
+    raised anywhere in a subcommand ends here as one diagnostic line and
+    its exit status, never as a traceback.  Other OS errors (a failed
+    fork, a full disk, a taken port) are faults of the host, not of the
+    input, and keep their traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    where = getattr(args, "program", None) or getattr(args, "target", None)
+    prefix = f"{where}: " if where else ""
+    try:
+        return args.func(args)
+    except CompileError as error:
+        return _fail(EXIT_COMPILE, f"{prefix}{error}")
+    except InterpreterError as error:
+        return _fail(EXIT_RUNTIME, f"{prefix}runtime error: {error}")
+    except _UnreadableSource as error:
+        return _fail(EXIT_USAGE, str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

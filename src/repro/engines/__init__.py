@@ -5,42 +5,31 @@ means" (the sequential semantics of :mod:`repro.sim.interpreter`) and
 "how it gets executed".  See :mod:`repro.engines.base` for the protocol
 and the registry, :mod:`repro.engines.codegen` for the tree-to-Python
 specializer, and :mod:`repro.engines.jit` for the default compiled
-engine.  Importing this package registers the three built-in backends:
+engine.  Importing this package registers the two built-in backends:
 
-======== ==================================================== =========
-name     implementation                                       semantic
-======== ==================================================== =========
-interp   reference tree-walking interpreter                   yes
-jit      per-tree compiled Python (default)                   yes
-hw       dynamically scheduled hardware simulator             no
-======== ==================================================== =========
+======== ====================================================
+name     implementation
+======== ====================================================
+interp   reference tree-walking interpreter
+jit      per-tree compiled Python (default)
+======== ====================================================
 
-"Semantic" engines are drop-in replacements for the reference
-interpreter and are differentially cross-checked by the fuzz oracle;
-the ``hw`` engine is a timing model whose loads read through a
-load/store queue and therefore only promises whole-program output
-equality.
+Both are drop-in replacements for each other and are differentially
+cross-checked by the fuzz oracle.  The dynamically scheduled hardware
+simulator (:mod:`repro.hwsim`) reuses the same code generator for its
+resolve/commit passes, but it is a timing model, not an engine: the
+pipeline runs it as its own ``hw_timing`` stage.
 """
 
 from __future__ import annotations
 
 from ..sim.interpreter import Interpreter
 from .base import (DEFAULT_ENGINE, ExecutionEngine, engine_names, get_engine,
-                   register_engine, semantic_engine_names)
+                   register_engine)
 from .jit import JitInterpreter
 
 __all__ = ["ExecutionEngine", "DEFAULT_ENGINE", "register_engine",
-           "get_engine", "engine_names", "semantic_engine_names",
-           "JitInterpreter"]
-
-
-def _hw_factory(program, machine, **kwargs):
-    # deferred import: hwsim consumes this package's codegen for its
-    # resolve/commit passes, so importing it here at module load would
-    # be circular
-    from ..hwsim.core import HwSimulator
-    kwargs.pop("collect_profile", None)  # hwsim never collects profiles
-    return HwSimulator(program, machine, **kwargs)
+           "get_engine", "engine_names", "JitInterpreter"]
 
 
 register_engine(ExecutionEngine(
@@ -49,6 +38,3 @@ register_engine(ExecutionEngine(
 register_engine(ExecutionEngine(
     "jit", "per-tree compiled Python functions (default)",
     JitInterpreter))
-register_engine(ExecutionEngine(
-    "hw", "dynamically scheduled hardware simulator (timing model)",
-    _hw_factory, semantic=False, needs_machine=True))

@@ -23,6 +23,7 @@ from ..bench.suite import NRC_BENCHMARKS
 from ..disambig.pipeline import Disambiguator
 from ..disambig.spd_heuristic import SpDConfig
 from ..machine.description import machine
+from ..pipeline.core import PipelineConfig
 from .report import format_percent, format_table, round6
 
 __all__ = ["KnobPoint", "KnobSweep", "AliasProbStudy", "GraftingStudy",
@@ -97,7 +98,7 @@ def run_knob_sweep(names: List[str] = NRC_BENCHMARKS,
         for min_gain in min_gains:
             config = SpDConfig(max_expansion=max_expansion,
                                min_gain=min_gain)
-            runner = BenchmarkRunner(spd_config=config)
+            runner = BenchmarkRunner(PipelineConfig(spd_config=config))
             _prefetch_static_spec(runner, names, mach, memory_latency, jobs)
             speedups, growths, apps = [], [], 0
             for name in names:
@@ -149,8 +150,8 @@ def run_alias_probability_study(names: List[str] = NRC_BENCHMARKS,
     study = AliasProbStudy(num_fus, memory_latency)
     mach = machine(num_fus, memory_latency)
     assumed_runner = BenchmarkRunner()
-    profiled_runner = BenchmarkRunner(
-        spd_config=SpDConfig(alias_probability_weighting=True))
+    profiled_runner = BenchmarkRunner(PipelineConfig(
+        spd_config=SpDConfig(alias_probability_weighting=True)))
     _prefetch_static_spec(assumed_runner, names, mach, memory_latency, jobs)
     _prefetch_static_spec(profiled_runner, names, mach, memory_latency, jobs)
     for name in names:
@@ -220,7 +221,7 @@ def run_grafting_study(names: List[str] = None, num_fus: int = 5,
     study = GraftingStudy(num_fus, memory_latency)
     mach = machine(num_fus, memory_latency)
     base_runner = BenchmarkRunner()
-    graft_runner = BenchmarkRunner(graft=GraftConfig())
+    graft_runner = BenchmarkRunner(PipelineConfig(graft=GraftConfig()))
     _prefetch_static_spec(base_runner, names, mach, memory_latency, jobs)
     _prefetch_static_spec(graft_runner, names, mach, memory_latency, jobs)
     for name in names:

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .. import obs
 from ..disambig.pipeline import Disambiguator, disambiguate
 from ..disambig.spd_heuristic import SpDConfig
-from ..engines import get_engine, semantic_engine_names
+from ..engines import engine_names, get_engine
 from ..frontend.driver import compile_source
 from ..frontend.errors import CompileError
 from ..frontend.grafting import graft_program
@@ -71,7 +71,7 @@ def register_execution_backend(name: str,
                                factory: Callable[..., object]) -> None:
     """Register an additional differential execution backend.
 
-    The registered semantic engines (:mod:`repro.engines`) participate
+    The registered engines (:mod:`repro.engines`) participate
     automatically; this hook is for prototype executors that are not
     (yet) full engines.
     """
@@ -79,9 +79,9 @@ def register_execution_backend(name: str,
 
 
 def execution_backend_names() -> Tuple[str, ...]:
-    """Every backend the oracle cross-checks by default: the semantic
+    """Every backend the oracle cross-checks by default: the registered
     engines, in registration order, then the extra registrations."""
-    names = list(semantic_engine_names())
+    names = list(engine_names())
     names.extend(n for n in _EXTRA_BACKENDS if n not in names)
     return tuple(names)
 
@@ -135,7 +135,7 @@ class OracleConfig:
     grafted_cleanup_sequences: Tuple[Tuple[str, ...], ...] = \
         ((), DEFAULT_CLEANUP)
     #: execution backends every semantic comparison runs under
-    #: (``None`` = all registered: the semantic engines plus any
+    #: (``None`` = all registered: the engines plus any
     #: :func:`register_execution_backend` extras).  The first listed
     #: backend is the primary; others are labelled ``stage@engine``.
     engines: Optional[Tuple[str, ...]] = None

@@ -14,7 +14,7 @@ issue window, load/store queue) is :class:`~repro.machine.hw.HwMachine`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .latencies import LatencyTable, TABLE_6_1_MEM2, TABLE_6_1_MEM6
 
@@ -52,6 +52,11 @@ class LifeMachine:
 
     def with_fus(self, num_fus: Optional[int]) -> "LifeMachine":
         return replace(self, num_fus=num_fus, name="")
+
+    def as_dict(self) -> Dict[str, object]:
+        """The machine as JSON exports and serve bodies describe it."""
+        return {"name": self.name, "num_fus": self.num_fus,
+                "memory_latency": self.memory_latency}
 
 
 #: The idealised machine used by the profiling simulator.

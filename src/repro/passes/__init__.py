@@ -16,6 +16,7 @@ from .base import (
     PassResult,
     UnknownPassError,
     build_cleanup_passes,
+    cleanup_from_spec,
     ensure_builtin_passes,
     pass_class,
     register,
@@ -32,6 +33,7 @@ __all__ = [
     "PassResult",
     "UnknownPassError",
     "build_cleanup_passes",
+    "cleanup_from_spec",
     "ensure_builtin_passes",
     "pass_class",
     "register",

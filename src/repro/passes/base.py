@@ -39,6 +39,7 @@ __all__ = [
     "PassResult",
     "PassPipelineConfig",
     "DEFAULT_CLEANUP",
+    "cleanup_from_spec",
     "UnknownPassError",
     "register",
     "registered_passes",
@@ -51,6 +52,17 @@ __all__ = [
 #: then register-copy propagation, then guard-aware dead-code
 #: elimination to sweep up everything the first two orphaned.
 DEFAULT_CLEANUP: Tuple[str, ...] = ("constfold", "copyprop", "dce")
+
+
+def cleanup_from_spec(spec: Optional[str]) -> Tuple[str, ...]:
+    """The cleanup pass list a ``--passes`` value names: ``none`` (or
+    ``None``) is empty, ``default`` is :data:`DEFAULT_CLEANUP`, anything
+    else a comma-separated list of pass names."""
+    if spec is None or spec == "none":
+        return ()
+    if spec == "default":
+        return DEFAULT_CLEANUP
+    return tuple(name for name in spec.split(",") if name)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from ..disambig.pipeline import Disambiguator
 from ..engines import DEFAULT_ENGINE
 from ..machine.description import machine
 from ..passes import DEFAULT_CLEANUP, PassPipelineConfig
+from ..pipeline.core import PipelineConfig
 from ..pipeline.store import ArtifactStore
 
 __all__ = ["TRACKED_COUNTERS", "STAGE_SPANS", "measure_benchmark",
@@ -101,7 +102,8 @@ def measure_benchmark(name: str, num_fus: int, memory_latency: int,
     stage-span percentiles (see the module docstring for the
     cold/warm/cleanup passes)."""
     mach = machine(num_fus, memory_latency)
-    runner = BenchmarkRunner(store=ArtifactStore(cache_dir), engine=engine)
+    config = PipelineConfig(engine=engine)
+    runner = BenchmarkRunner(config, store=ArtifactStore(cache_dir))
     wall_ms: Dict[str, float] = {}
     cycles: Dict[str, int] = {}
 
@@ -129,8 +131,7 @@ def measure_benchmark(name: str, num_fus: int, memory_latency: int,
         stage_spans = _stage_percentiles(tracer)
 
     # warm pass: fresh runner, same disk store — everything is a cache hit
-    warm_runner = BenchmarkRunner(store=ArtifactStore(cache_dir),
-                                  engine=engine)
+    warm_runner = BenchmarkRunner(config, store=ArtifactStore(cache_dir))
     t0 = time.perf_counter()
     warm_runner.compiled(name)
     for kind in Disambiguator:
@@ -142,9 +143,9 @@ def measure_benchmark(name: str, num_fus: int, memory_latency: int,
     # pipeline (same store, so compile/profile are cache hits) and
     # record the post-DCE code size plus per-pass op deltas
     clean_runner = BenchmarkRunner(
-        store=ArtifactStore(cache_dir),
-        passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP),
-        engine=engine)
+        PipelineConfig(passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP),
+                       engine=engine),
+        store=ArtifactStore(cache_dir))
     spec_clean = clean_runner.view(name, Disambiguator.SPEC, memory_latency)
     cleanup = {
         "code_size": spec_clean.code_size(),

@@ -9,9 +9,10 @@ Section 6.1) as four explicitly cached stages:
 * :mod:`repro.pipeline.store` — in-memory LRU over an on-disk cache
   (``$REPRO_CACHE_DIR`` / ``~/.cache/repro-spd``);
 * :mod:`repro.pipeline.shards` — the sharded variant of the store
-  (per-shard locks, LRU size budget, flat-layout migration) used by the
-  compilation service (:mod:`repro.serve`);
-* :mod:`repro.pipeline.core` — the :class:`Pipeline` stage driver;
+  (per-shard locks, LRU size budget) used by the compilation service
+  (:mod:`repro.serve`);
+* :mod:`repro.pipeline.core` — the :class:`PipelineConfig` toolchain
+  configuration and the :class:`Pipeline` stage driver over it;
 * :mod:`repro.pipeline.executor` — multiprocessing fan-out of the
   (program × disambiguator × machine) job matrix.
 
@@ -21,7 +22,7 @@ layout and invalidation rules.
 
 from .artifacts import (CompiledArtifact, DisambiguationArtifact,
                         ProfileArtifact, TimingArtifact)
-from .core import Pipeline
+from .core import Pipeline, PipelineConfig
 from .executor import CompileJob, HwTimingJob, TimingJob, ViewJob, run_jobs
 from .fingerprint import PIPELINE_VERSION, fingerprint
 from .shards import ShardedArtifactStore
@@ -29,7 +30,8 @@ from .store import ArtifactStore, default_cache_dir
 
 __all__ = [
     "ArtifactStore", "CompileJob", "CompiledArtifact",
-    "DisambiguationArtifact", "HwTimingJob", "Pipeline", "PIPELINE_VERSION",
-    "ProfileArtifact", "ShardedArtifactStore", "TimingArtifact", "TimingJob",
-    "ViewJob", "default_cache_dir", "fingerprint", "run_jobs",
+    "DisambiguationArtifact", "HwTimingJob", "Pipeline", "PipelineConfig",
+    "PIPELINE_VERSION", "ProfileArtifact", "ShardedArtifactStore",
+    "TimingArtifact", "TimingJob", "ViewJob", "default_cache_dir",
+    "fingerprint", "run_jobs",
 ]

@@ -7,6 +7,12 @@ content-addressed fingerprint, consults the two-tier
 miss; a second ``repro report`` or pytest run served from the disk tier
 therefore skips compilation, profiling and disambiguation entirely.
 
+A :class:`PipelineConfig` holds the one toolchain configuration the
+stages run under (SpD knobs, grafting, cleanup passes, guard words and
+the execution engine) and computes the stage fingerprints; everything
+that carries a configuration — the benchmark runner, the parallel
+workers, the compilation service and the CLI — carries this object.
+
 The pipeline is deliberately *source-addressed*: stages take the tinyc
 source text (plus a display label), not a benchmark name, so the layer
 knows nothing about :mod:`repro.bench` — benchmark-name resolution
@@ -20,6 +26,7 @@ exists.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .. import obs
@@ -36,41 +43,40 @@ from ..sim.evaluate import evaluate_program
 from ..sim.interpreter import run_program
 from .artifacts import (CompiledArtifact, DisambiguationArtifact,
                         HwTimingArtifact, ProfileArtifact, TimingArtifact)
-from .fingerprint import (fingerprint, graft_config_key, hw_machine_key,
-                          latency_key, machine_key, pass_pipeline_key,
-                          spd_config_key)
+from .fingerprint import fingerprint
 from .store import ArtifactStore
 
-__all__ = ["Pipeline"]
+__all__ = ["Pipeline", "PipelineConfig"]
 
 
-class Pipeline:
-    """Cached, parallelisable pipeline over one toolchain configuration."""
+@dataclass(frozen=True)
+class PipelineConfig:
+    """One toolchain configuration: everything besides the source and
+    the machine that decides what a stage produces.
 
-    def __init__(self, spd_config: SpDConfig = SpDConfig(),
-                 graft: Optional[GraftConfig] = None,
-                 validate_spec_output: bool = True,
-                 store: Optional[ArtifactStore] = None,
-                 passes: Optional[PassPipelineConfig] = None,
-                 guard_words: int = 0,
-                 engine: str = DEFAULT_ENGINE):
-        self.spd_config = spd_config
-        self.graft = graft
-        self.validate_spec_output = validate_spec_output
-        self.store = store if store is not None else ArtifactStore()
-        self.passes = (passes if passes is not None
-                       else PassPipelineConfig()).validated()
-        self.guard_words = guard_words
+    Frozen and hashable, so it doubles as the key of per-process
+    pipeline caches; its fingerprint methods are the content addresses
+    of the artifacts a :class:`Pipeline` over it computes.
+    """
+
+    spd_config: SpDConfig = SpDConfig()
+    #: tail-duplication bounds, or ``None`` for no grafting
+    graft: Optional[GraftConfig] = None
+    passes: PassPipelineConfig = PassPipelineConfig()
+    #: unused padding words the frontend lays out between arrays
+    guard_words: int = 0
+    engine: str = DEFAULT_ENGINE
+
+    def __post_init__(self) -> None:
+        self.passes.validated()
         # fail fast on unknown names; stages key their fingerprints on
         # the engine, so every registered engine gets its own cache rows
-        get_engine(engine)
-        self.engine = engine
-
-    # -- fingerprints --------------------------------------------------------
+        get_engine(self.engine)
 
     def compile_fingerprint(self, source: str) -> str:
         return fingerprint({"stage": "compiled", "source": source,
-                            "graft": graft_config_key(self.graft),
+                            "graft": (None if self.graft is None
+                                      else asdict(self.graft)),
                             "guard_words": self.guard_words})
 
     def profile_fingerprint(self, source: str) -> str:
@@ -90,13 +96,15 @@ class Pipeline:
                    "engine": self.engine,
                    # the cleanup pass list runs on every view, so every
                    # view's fingerprint must see it (a changed pass list
-                   # or pass option is a cache miss)
-                   "passes": pass_pipeline_key(self.passes)}
+                   # or pass option is a cache miss; the observational
+                   # knobs are not part of the key)
+                   "passes": self.passes.cache_key()}
         if kind is Disambiguator.SPEC:
             # only SPEC's Gain() estimates see the latency table and the
             # heuristic knobs; the other views share one entry per source
-            payload["spd_config"] = spd_config_key(self.spd_config)
-            payload["latencies"] = latency_key(machine(None, memory_latency))
+            payload["spd_config"] = asdict(self.spd_config)
+            payload["latencies"] = asdict(
+                machine(None, memory_latency).latencies)
         return fingerprint(payload)
 
     def timing_fingerprint(self, source: str, kind: Disambiguator,
@@ -104,7 +112,8 @@ class Pipeline:
         return fingerprint({
             "stage": "timing",
             "view": self.view_fingerprint(source, kind, mach.memory_latency),
-            "machine": machine_key(mach),
+            "machine": {"num_fus": mach.num_fus,
+                        "latencies": asdict(mach.latencies)},
         })
 
     def hw_timing_fingerprint(self, source: str, kind: Disambiguator,
@@ -112,46 +121,60 @@ class Pipeline:
         return fingerprint({
             "stage": "hwtime",
             "view": self.view_fingerprint(source, kind, mach.memory_latency),
-            "machine": hw_machine_key(mach),
+            "machine": {"num_fus": mach.num_fus, "window": mach.window,
+                        "predictor": mach.predictor,
+                        "replay_penalty": mach.replay_penalty,
+                        "latencies": asdict(mach.latencies)},
         })
+
+
+class Pipeline:
+    """Cached, parallelisable pipeline over one toolchain configuration."""
+
+    def __init__(self, config: PipelineConfig = PipelineConfig(),
+                 store: Optional[ArtifactStore] = None):
+        self.config = config
+        self.store = store if store is not None else ArtifactStore()
 
     # -- stages --------------------------------------------------------------
 
     def compiled(self, label: str, source: str) -> CompiledArtifact:
-        fp = self.compile_fingerprint(source)
+        config = self.config
+        fp = config.compile_fingerprint(source)
         artifact = self.store.get("compiled", fp)
         if artifact is None:
             with obs.profile_span("pipeline.compile", program=label):
                 program = compile_source(source,
-                                         guard_words=self.guard_words)
-                if self.graft is not None:
+                                         guard_words=config.guard_words)
+                if config.graft is not None:
                     # grafting changes the tree structure, so every later
                     # stage runs against the grafted program
-                    program, _stats = graft_program(program, self.graft)
+                    program, _stats = graft_program(program, config.graft)
             artifact = CompiledArtifact(fp, label, program)
             self.store.put("compiled", fp, artifact)
         return artifact
 
     def profile(self, label: str, source: str) -> ProfileArtifact:
-        fp = self.profile_fingerprint(source)
+        fp = self.config.profile_fingerprint(source)
         artifact = self.store.get("profile", fp)
         if artifact is None:
             compiled = self.compiled(label, source)
             with obs.profile_span("pipeline.profile", program=label):
                 reference = run_program(compiled.program,
-                                        engine=self.engine)
+                                        engine=self.config.engine)
             artifact = ProfileArtifact(fp, label, reference)
             self.store.put("profile", fp, artifact)
         return artifact
 
     def view(self, label: str, source: str, kind: Disambiguator,
              memory_latency: int = 2) -> DisambiguationArtifact:
-        fp = self.view_fingerprint(source, kind, memory_latency)
+        config = self.config
+        fp = config.view_fingerprint(source, kind, memory_latency)
         # --dump-after is observational (excluded from the fingerprint),
         # so a requested dump must bypass the cache: neither serve a hit
         # (no passes would run, no dump would happen) nor poison the
         # store with an entry other configs would then share
-        use_cache = not self.passes.dump_after
+        use_cache = not config.passes.dump_after
         artifact = self.store.get("view", fp) if use_cache else None
         if artifact is None:
             compiled = self.compiled(label, source)
@@ -161,11 +184,11 @@ class Pipeline:
                 result = disambiguate(
                     compiled.program, kind, profile=profiled.profile,
                     machine=machine(None, memory_latency),
-                    spd_config=self.spd_config, passes=self.passes)
-                if kind is Disambiguator.SPEC and self.validate_spec_output:
+                    spd_config=config.spd_config, passes=config.passes)
+                if kind is Disambiguator.SPEC:
                     transformed = run_program(result.program.copy(),
                                               collect_profile=False,
-                                              engine=self.engine)
+                                              engine=config.engine)
                     if not profiled.reference.output_equal(transformed):
                         raise AssertionError(
                             f"SpD changed the output of program {label!r}")
@@ -176,7 +199,7 @@ class Pipeline:
 
     def timing(self, label: str, source: str, kind: Disambiguator,
                mach: LifeMachine) -> TimingArtifact:
-        fp = self.timing_fingerprint(source, kind, mach)
+        fp = self.config.timing_fingerprint(source, kind, mach)
         artifact = self.store.get("timing", fp)
         if artifact is None:
             view = self.view(label, source, kind, mach.memory_latency)
@@ -196,7 +219,7 @@ class Pipeline:
         but the cycles come from executing the program through
         :class:`~repro.hwsim.core.HwSimulator` rather than evaluating
         static schedules against a profile."""
-        fp = self.hw_timing_fingerprint(source, kind, mach)
+        fp = self.config.hw_timing_fingerprint(source, kind, mach)
         artifact = self.store.get("hwtime", fp)
         if artifact is None:
             view = self.view(label, source, kind, mach.memory_latency)

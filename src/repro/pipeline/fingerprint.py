@@ -12,25 +12,18 @@ fingerprint and the old entries are simply never looked up again.
 Stage fingerprints chain: the profile fingerprint embeds the compile
 fingerprint, the view fingerprint embeds both, and the timing
 fingerprint embeds the view fingerprint plus the machine.  A change to
-the source text thus invalidates all four stages at once.
+the source text thus invalidates all four stages at once.  The
+per-stage payloads are assembled by the fingerprint methods of
+:class:`~repro.pipeline.core.PipelineConfig`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
-from typing import Dict, Optional
+from typing import Dict
 
-from ..disambig.spd_heuristic import SpDConfig
-from ..frontend.grafting import GraftConfig
-from ..machine.description import LifeMachine
-from ..machine.hw import HwMachine
-from ..passes import PassPipelineConfig
-
-__all__ = ["PIPELINE_VERSION", "fingerprint", "spd_config_key",
-           "graft_config_key", "machine_key", "hw_machine_key",
-           "latency_key", "pass_pipeline_key"]
+__all__ = ["PIPELINE_VERSION", "fingerprint"]
 
 #: Bump whenever a toolchain change alters any stage's output or the
 #: pickled artifact layout: old on-disk entries become unreachable (and
@@ -48,38 +41,3 @@ def fingerprint(payload: Dict[str, object]) -> str:
     body = {"pipeline_version": PIPELINE_VERSION, **payload}
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def spd_config_key(config: SpDConfig) -> Dict[str, object]:
-    """All SpD heuristic knobs, as a JSON-stable dict."""
-    return asdict(config)
-
-
-def graft_config_key(config: Optional[GraftConfig]) -> Optional[Dict[str, object]]:
-    """Grafting bounds (or ``None`` when grafting is off)."""
-    return None if config is None else asdict(config)
-
-
-def latency_key(machine: LifeMachine) -> Dict[str, object]:
-    """The full latency table — any latency change invalidates."""
-    return asdict(machine.latencies)
-
-
-def machine_key(machine: LifeMachine) -> Dict[str, object]:
-    """Issue width plus the full latency table."""
-    return {"num_fus": machine.num_fus, "latencies": latency_key(machine)}
-
-
-def hw_machine_key(machine: HwMachine) -> Dict[str, object]:
-    """Every knob of a dynamically scheduled machine configuration."""
-    return {"num_fus": machine.num_fus, "window": machine.window,
-            "predictor": machine.predictor,
-            "replay_penalty": machine.replay_penalty,
-            "latencies": asdict(machine.latencies)}
-
-
-def pass_pipeline_key(config: PassPipelineConfig) -> Dict[str, object]:
-    """The cache-relevant pass-pipeline configuration (the pass list and
-    any pass options; observational knobs like ``dump_after`` and
-    ``validate`` are excluded by :meth:`PassPipelineConfig.cache_key`)."""
-    return config.cache_key()

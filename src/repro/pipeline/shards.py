@@ -17,35 +17,27 @@ on top that a long-running, multi-client service needs:
   survive.  Enforcement is opportunistic (every
   ``evict_check_interval`` writes, or on an explicit
   :meth:`enforce_budget` call) and crash-safe — an eviction is a single
-  ``unlink`` of a complete entry;
-* **flat-layout migration** — a cache directory written by a pre-shard
-  build (entries directly under ``root/<stage>/``) is read transparently:
-  a shard miss falls back to the flat path, and a flat hit is rewritten
-  into its shard (and the flat file removed) so the directory converges
-  to the sharded layout as it is used.
+  ``unlink`` of a complete entry.
 
-Counters (``repro.obs``): ``pipeline.shard.evictions``,
-``pipeline.shard.migrated`` and the ``pipeline.shard.bytes`` gauge.
+Counters (``repro.obs``): ``pipeline.shard.evictions`` and the
+``pipeline.shard.bytes`` gauge.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from .fingerprint import PIPELINE_VERSION
 from .store import _FROM_ENV, ArtifactStore
 
 __all__ = ["ShardedArtifactStore"]
 
 
 class ShardedArtifactStore(ArtifactStore):
-    """Artifact store with per-shard locks, an LRU size budget and
-    transparent migration of pre-shard flat cache directories."""
+    """Artifact store with per-shard locks and an LRU size budget."""
 
     def __init__(self, root=_FROM_ENV, max_memory_entries: int = 1024,
                  size_budget_bytes: Optional[int] = None,
@@ -71,7 +63,7 @@ class ShardedArtifactStore(ArtifactStore):
                 lock = self._shard_locks.setdefault(key, threading.Lock())
         return lock
 
-    # -- disk tier (locked, LRU-touched, migration-aware) --------------------
+    # -- disk tier (locked, LRU-touched) -------------------------------------
 
     def _disk_get(self, stage: str, fingerprint: str):
         if self.root is None:
@@ -80,8 +72,7 @@ class ShardedArtifactStore(ArtifactStore):
             artifact = super()._disk_get(stage, fingerprint)
             if artifact is not None:
                 self._touch(self._path(stage, fingerprint))
-                return artifact
-            return self._flat_get(stage, fingerprint)
+            return artifact
 
     def _disk_put(self, stage: str, fingerprint: str, artifact) -> None:
         if self.root is None:
@@ -103,40 +94,6 @@ class ShardedArtifactStore(ArtifactStore):
         except OSError:
             pass
 
-    # -- flat-layout migration -----------------------------------------------
-
-    def _flat_path(self, stage: str, fingerprint: str) -> Path:
-        return self.root / stage / f"{fingerprint}.pkl"
-
-    def _flat_get(self, stage: str, fingerprint: str):
-        """Read a pre-shard flat entry; on success migrate it into its
-        shard directory and remove the flat file."""
-        flat = self._flat_path(stage, fingerprint)
-        try:
-            with open(flat, "rb") as handle:
-                payload = pickle.load(handle)
-            if (not isinstance(payload, dict)
-                    or payload.get("version") != PIPELINE_VERSION):
-                raise ValueError("stale or malformed flat cache entry")
-            artifact = payload["artifact"]
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # corrupt or stale-version flat entry: drop, rebuild later
-            obs.incr("pipeline.cache_evicted")
-            try:
-                os.unlink(flat)
-            except OSError:
-                pass
-            return None
-        super()._disk_put(stage, fingerprint, artifact)
-        try:
-            os.unlink(flat)
-        except OSError:
-            pass
-        obs.incr("pipeline.shard.migrated")
-        return artifact
-
     # -- size-budget eviction ------------------------------------------------
 
     def _scan_entries(self) -> List[Tuple[float, int, Path, str, str]]:
@@ -147,15 +104,13 @@ class ShardedArtifactStore(ArtifactStore):
         for stage_dir in self.root.iterdir():
             if not stage_dir.is_dir():
                 continue
-            for path in stage_dir.rglob("*.pkl"):
+            for path in stage_dir.glob("*/*.pkl"):
                 try:
                     stat = path.stat()
                 except OSError:
                     continue  # evicted or replaced under our feet
-                shard = (path.parent.name
-                         if path.parent != stage_dir else "")
                 entries.append((stat.st_mtime, stat.st_size, path,
-                                stage_dir.name, shard))
+                                stage_dir.name, path.parent.name))
         return entries
 
     def disk_usage_bytes(self) -> int:
@@ -173,7 +128,7 @@ class ShardedArtifactStore(ArtifactStore):
         for mtime, size, path, stage, shard in sorted(entries):
             if total <= self.size_budget_bytes:
                 break
-            with self._shard_lock(stage, shard or "__"):
+            with self._shard_lock(stage, shard):
                 try:
                     os.unlink(path)
                 except OSError:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .schemas import ENDPOINTS, encode_body, error_body
 from .service import CompileService, ServeConfig
@@ -76,10 +76,16 @@ class ServeApp:
             await asyncio.gather(*pending, return_exceptions=True)
         await self.service.stop()
 
-    async def run_until(self, stop_event: asyncio.Event) -> int:
-        """Start, wait for *stop_event*, then shut down cleanly."""
+    async def run_until(self, stop_event: asyncio.Event,
+                        on_listening: Optional[Callable[[int], None]] = None
+                        ) -> int:
+        """Start, wait for *stop_event*, then shut down cleanly.
+        *on_listening*, if given, is called with the bound port once
+        the server accepts connections."""
         port = await self.start()
         try:
+            if on_listening is not None:
+                on_listening(port)
             await stop_event.wait()
         finally:
             await self.stop()

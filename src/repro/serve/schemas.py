@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..disambig.pipeline import Disambiguator
 from ..disambig.spd_heuristic import SpDConfig
-from ..engines import DEFAULT_ENGINE, semantic_engine_names
+from ..engines import DEFAULT_ENGINE, engine_names
 from ..frontend.grafting import GraftConfig
 from ..machine.description import LifeMachine, machine
 from ..machine.hw import PREDICTOR_NAMES, HwMachine, hw_machine
-from ..passes import DEFAULT_CLEANUP, PassPipelineConfig, UnknownPassError
+from ..passes import PassPipelineConfig, UnknownPassError, cleanup_from_spec
+from ..pipeline.core import PipelineConfig
 
 __all__ = ["SCHEMA", "ENDPOINTS", "MAX_SOURCE_BYTES", "RequestError",
            "ServeRequest", "parse_request", "error_body", "result_body",
@@ -62,11 +63,7 @@ class ServeRequest:
     label: str
     source: str
     kind: Disambiguator
-    engine: str
-    spd_config: SpDConfig
-    graft: Optional[GraftConfig]
-    passes: PassPipelineConfig
-    guard_words: int
+    config: PipelineConfig
     machine: LifeMachine
     hw: HwMachine = field(default_factory=HwMachine)
 
@@ -84,9 +81,9 @@ def _no_unknown_keys(payload: Dict[str, object], allowed: Tuple[str, ...],
              f"(allowed: {', '.join(allowed)})")
 
 
-def _parse_knobs(payload: object) -> Tuple[SpDConfig, Optional[GraftConfig],
-                                           PassPipelineConfig, int]:
-    """The ``knobs`` object → (SpDConfig, graft, passes, guard_words)."""
+def _parse_knobs(payload: object, engine: str) -> PipelineConfig:
+    """The ``knobs`` object (plus the validated engine) → the request's
+    toolchain configuration."""
     if payload is None:
         payload = {}
     _require(isinstance(payload, dict), "'knobs' must be an object")
@@ -106,20 +103,15 @@ def _parse_knobs(payload: object) -> Tuple[SpDConfig, Optional[GraftConfig],
     _require(isinstance(spec, str),
              "'knobs.passes' must be a string ('none', 'default' or a "
              "comma-separated pass list)")
-    if spec == "none":
-        cleanup: Tuple[str, ...] = ()
-    elif spec == "default":
-        cleanup = DEFAULT_CLEANUP
-    else:
-        cleanup = tuple(name for name in spec.split(",") if name)
     try:
-        passes = PassPipelineConfig(cleanup=cleanup).validated()
+        passes = PassPipelineConfig(cleanup=cleanup_from_spec(spec)).validated()
     except UnknownPassError as error:
         raise RequestError("bad_request", str(error))
     guard_words = payload.get("guard_words", 0)
     _require(isinstance(guard_words, int) and 0 <= guard_words <= 8,
              "'knobs.guard_words' must be an integer in [0, 8]")
-    return spd, graft, passes, guard_words
+    return PipelineConfig(spd_config=spd, graft=graft, passes=passes,
+                          guard_words=guard_words, engine=engine)
 
 
 def _parse_machine(payload: object) -> LifeMachine:
@@ -188,14 +180,12 @@ def parse_request(endpoint: str, payload: object) -> ServeRequest:
             f"unknown disambiguator kind {kind_name!r} "
             f"(known: {', '.join(k.value for k in Disambiguator)})")
     engine = payload.get("engine", DEFAULT_ENGINE)
-    _require(engine in semantic_engine_names(),
+    _require(engine in engine_names(),
              f"unknown engine {engine!r} "
-             f"(known: {', '.join(semantic_engine_names())})")
-    spd, graft, passes, guard_words = _parse_knobs(payload.get("knobs"))
+             f"(known: {', '.join(engine_names())})")
     return ServeRequest(
         endpoint=endpoint, label=label, source=source, kind=kind,
-        engine=engine, spd_config=spd, graft=graft, passes=passes,
-        guard_words=guard_words,
+        config=_parse_knobs(payload.get("knobs"), engine),
         machine=_parse_machine(payload.get("machine")),
         hw=_parse_hw(payload.get("hw")))
 

@@ -6,8 +6,8 @@ request processor.  A request's life:
 1. **parse** — strict validation into a :class:`ServeRequest`
    (:mod:`repro.serve.schemas`);
 2. **plan** — the request's content-addressed fingerprints are computed
-   (:class:`~repro.pipeline.core.Pipeline` fingerprint methods), naming
-   exactly which store artifacts the response needs;
+   (the :class:`~repro.pipeline.core.PipelineConfig` fingerprint
+   methods), naming exactly which store artifacts the response needs;
 3. **probe** — all artifacts present in the two-tier store ⇒ the warm
    path: render and return, sub-millisecond;
 4. **coalesce** — a miss checks the in-flight table: another request
@@ -55,16 +55,15 @@ from .. import obs
 from ..disambig.pipeline import Disambiguator
 from ..frontend.errors import CompileError
 from ..ir.printer import format_program
-from ..machine.description import LifeMachine
 from ..machine.hw import HwMachine
 from ..obs.metrics import MetricsRegistry
-from ..pipeline.core import Pipeline
+from ..pipeline.core import PipelineConfig
 from ..pipeline.executor import (CompileJob, HwTimingJob, TimingJob, ViewJob,
-                                 _pool_context, _run_on, _WorkerSpec,
-                                 artifact_stage)
+                                 _pool_context, _run_on, artifact_stage,
+                                 start_worker, worker_pipeline)
 from ..pipeline.fingerprint import fingerprint as make_fingerprint
 from ..pipeline.shards import ShardedArtifactStore
-from ..pipeline.store import ArtifactStore, default_cache_dir
+from ..pipeline.store import default_cache_dir
 from .schemas import (SCHEMA, RequestError, ServeRequest, error_body,
                       parse_request, result_body)
 
@@ -136,11 +135,6 @@ class _Plan:
         return (self.request.endpoint, self.fp)
 
 
-def _machine_dict(mach: LifeMachine) -> Dict[str, object]:
-    return {"name": mach.name, "num_fus": mach.num_fus,
-            "memory_latency": mach.memory_latency}
-
-
 def _hw_machine_dict(mach: HwMachine) -> Dict[str, object]:
     return {"name": mach.name, "num_fus": mach.num_fus,
             "window": mach.window, "predictor": mach.predictor,
@@ -154,19 +148,13 @@ def _spd_counts_dict(view) -> Dict[str, int]:
 
 
 def make_plan(request: ServeRequest) -> _Plan:
-    """Fingerprints + jobs + renderer for one validated request.
-
-    The throwaway memory-only store here is never read or written — the
-    pipeline instance exists purely for its fingerprint arithmetic."""
-    pipeline = Pipeline(
-        spd_config=request.spd_config, graft=request.graft,
-        store=ArtifactStore(None), passes=request.passes,
-        guard_words=request.guard_words, engine=request.engine)
+    """Fingerprints + jobs + renderer for one validated request."""
+    config = request.config
     endpoint, label, source = request.endpoint, request.label, request.source
     kind, mach, hw = request.kind, request.machine, request.hw
 
     if endpoint == "compile":
-        fp = pipeline.compile_fingerprint(source)
+        fp = config.compile_fingerprint(source)
 
         def render(artifacts):
             compiled = artifacts["compiled"]
@@ -177,7 +165,7 @@ def make_plan(request: ServeRequest) -> _Plan:
                      {"compiled": ("compiled", fp)}, render)
 
     if endpoint == "disambiguate":
-        fp = pipeline.view_fingerprint(source, kind, mach.memory_latency)
+        fp = config.view_fingerprint(source, kind, mach.memory_latency)
 
         def render(artifacts):
             view = artifacts["view"]
@@ -190,18 +178,18 @@ def make_plan(request: ServeRequest) -> _Plan:
                      {"view": ("view", fp)}, render)
 
     if endpoint == "time":
-        fp = pipeline.timing_fingerprint(source, kind, mach)
+        fp = config.timing_fingerprint(source, kind, mach)
 
         def render(artifacts):
             timing = artifacts["timing"]
-            return {"kind": kind.value, "machine": _machine_dict(mach),
+            return {"kind": kind.value, "machine": mach.as_dict(),
                     "cycles": timing.cycles}
 
         return _Plan(request, fp, (TimingJob(label, source, kind, mach),),
                      {"timing": ("timing", fp)}, render)
 
     if endpoint == "hwtime":
-        fp = pipeline.hw_timing_fingerprint(source, kind, hw)
+        fp = config.hw_timing_fingerprint(source, kind, hw)
 
         def render(artifacts):
             artifact = artifacts["hwtime"]
@@ -215,10 +203,10 @@ def make_plan(request: ServeRequest) -> _Plan:
     # report: the per-disambiguator cycle table of `repro analyze`,
     # composed from one compile + the SPEC view + four timings
     named: Dict[str, Tuple[str, str]] = {
-        "compiled": ("compiled", pipeline.compile_fingerprint(source)),
+        "compiled": ("compiled", config.compile_fingerprint(source)),
         "view_spec": ("view",
-                      pipeline.view_fingerprint(source, Disambiguator.SPEC,
-                                                mach.memory_latency)),
+                      config.view_fingerprint(source, Disambiguator.SPEC,
+                                              mach.memory_latency)),
     }
     jobs: List[object] = [
         CompileJob(label, source),
@@ -226,7 +214,7 @@ def make_plan(request: ServeRequest) -> _Plan:
     ]
     for each in Disambiguator:
         named[f"timing.{each.value}"] = (
-            "timing", pipeline.timing_fingerprint(source, each, mach))
+            "timing", config.timing_fingerprint(source, each, mach))
         jobs.append(TimingJob(label, source, each, mach))
     fp = make_fingerprint({"stage": "serve.report",
                            "needed": sorted(fp for _, fp in named.values())})
@@ -245,7 +233,7 @@ def make_plan(request: ServeRequest) -> _Plan:
                 entry["spd_counts"] = _spd_counts_dict(view)
                 entry["code_size"] = view.code_size()
             table[each.value] = entry
-        return {"machine": _machine_dict(mach),
+        return {"machine": mach.as_dict(),
                 "ops": artifacts["compiled"].program.size(),
                 "disambiguators": table}
 
@@ -253,50 +241,6 @@ def make_plan(request: ServeRequest) -> _Plan:
 
 
 # -- worker side --------------------------------------------------------------
-
-#: Per-worker pipeline cache keyed by the worker spec, so a worker
-#: serving many requests with the same knobs reuses its memory tier.
-_worker_pipelines: "OrderedDict[str, Pipeline]" = OrderedDict()
-_WORKER_PIPELINE_CAP = 8
-
-
-def _serve_worker_init() -> None:
-    # a forked parent tracer would record into a dead copy
-    obs.disable()
-    obs.disable_profiling()
-
-
-def _spec_cache_key(spec: _WorkerSpec) -> str:
-    from ..pipeline.fingerprint import (graft_config_key, pass_pipeline_key,
-                                        spd_config_key)
-    return json.dumps({
-        "spd": spd_config_key(spec.spd_config),
-        "graft": graft_config_key(spec.graft),
-        "passes": pass_pipeline_key(spec.passes),
-        "guard_words": spec.guard_words,
-        "engine": spec.engine,
-        "validate": spec.validate_spec_output,
-        "root": spec.cache_root,
-    }, sort_keys=True)
-
-
-def _worker_pipeline_for(spec: _WorkerSpec) -> Pipeline:
-    key = _spec_cache_key(spec)
-    pipeline = _worker_pipelines.get(key)
-    if pipeline is None:
-        pipeline = Pipeline(
-            spd_config=spec.spd_config, graft=spec.graft,
-            validate_spec_output=spec.validate_spec_output,
-            store=ArtifactStore(spec.cache_root),
-            passes=spec.passes, guard_words=spec.guard_words,
-            engine=spec.engine)
-        _worker_pipelines[key] = pipeline
-        while len(_worker_pipelines) > _WORKER_PIPELINE_CAP:
-            _worker_pipelines.popitem(last=False)
-    else:
-        _worker_pipelines.move_to_end(key)
-    return pipeline
-
 
 def _maybe_inject(job) -> None:
     """Apply the ``REPRO_SERVE_INJECT`` fault hook to a matching job."""
@@ -315,13 +259,14 @@ def _maybe_inject(job) -> None:
             time.sleep(float(parts[2]) if len(parts) > 2 else 30.0)
 
 
-def _serve_run_chunk(spec: _WorkerSpec, jobs: Tuple[object, ...]) -> List[tuple]:
+def _serve_run_chunk(config: PipelineConfig, cache_root: Optional[str],
+                     jobs: Tuple[object, ...]) -> List[tuple]:
     """Run one work item's jobs in a worker; per-job error isolation.
 
     Returns ``("ok", stage, artifact)`` or
     ``("error", code, message, http_status)`` per job."""
     results: List[tuple] = []
-    pipeline = _worker_pipeline_for(spec)
+    pipeline = worker_pipeline(config, cache_root)
     for job in jobs:
         try:
             _maybe_inject(job)
@@ -340,15 +285,10 @@ def _serve_run_chunk(spec: _WorkerSpec, jobs: Tuple[object, ...]) -> List[tuple]
 class _WorkItem:
     """One in-flight computation: a shared future its waiters await."""
 
-    __slots__ = ("key", "spec", "jobs", "future", "waiters",
-                 "dispatch_future")
+    __slots__ = ("plan", "future", "waiters", "dispatch_future")
 
-    def __init__(self, key: Tuple[str, str], spec: _WorkerSpec,
-                 jobs: Tuple[object, ...],
-                 loop: asyncio.AbstractEventLoop):
-        self.key = key
-        self.spec = spec
-        self.jobs = jobs
+    def __init__(self, plan: _Plan, loop: asyncio.AbstractEventLoop):
+        self.plan = plan
         self.future: asyncio.Future = loop.create_future()
         self.waiters = 0
         self.dispatch_future: Optional[asyncio.Future] = None
@@ -366,6 +306,9 @@ class CompileService:
         self.store = ShardedArtifactStore(
             config.resolve_cache_root(), size_budget_bytes=budget,
             evict_check_interval=config.evict_check_interval)
+        #: the store's disk tier, as workers open it
+        self._cache_root = (str(self.store.root)
+                            if self.store.root is not None else None)
         self.metrics = MetricsRegistry()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
@@ -402,7 +345,7 @@ class CompileService:
     def _make_executor(self) -> None:
         self._executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.config.jobs, mp_context=_pool_context(),
-            initializer=_serve_worker_init)
+            initializer=start_worker)
         self._executor_generation += 1
         self.metrics.set_gauge("serve.executor_generation",
                                self._executor_generation)
@@ -520,15 +463,7 @@ class CompileService:
                 f"in-flight queue limit ({self.config.queue_limit}) "
                 f"reached; retry later", status=503)
         self._incr("serve.cache_misses")
-        request = plan.request
-        spec = _WorkerSpec(
-            spd_config=request.spd_config, graft=request.graft,
-            validate_spec_output=True,
-            cache_root=(str(self.store.root)
-                        if self.store.root is not None else None),
-            passes=request.passes, guard_words=request.guard_words,
-            trace=False, profile_top_n=None, engine=request.engine)
-        item = _WorkItem(plan.key, spec, plan.jobs, self._loop)
+        item = _WorkItem(plan, self._loop)
         self._inflight[plan.key] = item
         self._queue_depth += 1
         self.metrics.set_gauge("serve.queue_depth", self._queue_depth)
@@ -593,7 +528,9 @@ class CompileService:
             generation = self._executor_generation
             for item in batch:
                 item.dispatch_future = self._loop.run_in_executor(
-                    self._executor, _serve_run_chunk, item.spec, item.jobs)
+                    self._executor, _serve_run_chunk,
+                    item.plan.request.config, self._cache_root,
+                    item.plan.jobs)
                 self._loop.create_task(self._complete(item, generation))
 
     async def _complete(self, item: _WorkItem, generation: int) -> None:
@@ -633,7 +570,7 @@ class CompileService:
 
     def _finish(self, item: _WorkItem, error: Optional[RequestError] = None,
                 cancelled: bool = False) -> None:
-        self._inflight.pop(item.key, None)
+        self._inflight.pop(item.plan.key, None)
         self._queue_depth -= 1
         self.metrics.set_gauge("serve.queue_depth", self._queue_depth)
         if item.future.done():

@@ -3,24 +3,24 @@
 import pytest
 
 from repro.engines import (DEFAULT_ENGINE, ExecutionEngine, JitInterpreter,
-                           engine_names, get_engine, register_engine,
-                           semantic_engine_names)
+                           engine_names, get_engine, register_engine)
 from repro.engines.base import _ENGINES
-from repro.machine.hw import hw_machine
 from repro.sim.interpreter import Interpreter, run_program
 
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert set(engine_names()) >= {"interp", "jit", "hw"}
+        assert set(engine_names()) >= {"interp", "jit"}
 
     def test_default_engine_is_jit_and_semantic(self):
         assert DEFAULT_ENGINE == "jit"
-        assert DEFAULT_ENGINE in semantic_engine_names()
+        assert DEFAULT_ENGINE in engine_names()
 
     def test_semantic_excludes_hardware(self):
-        assert "hw" not in semantic_engine_names()
-        assert "interp" in semantic_engine_names()
+        # the hardware simulator is a pipeline stage (hw_timing), not a
+        # drop-in execution engine
+        assert "hw" not in engine_names()
+        assert "interp" in engine_names()
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError, match="unknown execution engine"):
@@ -41,7 +41,6 @@ class TestRegistry:
         register_engine(engine)
         try:
             assert "_test_engine" in engine_names()
-            assert "_test_engine" in semantic_engine_names()
         finally:
             _ENGINES.pop("_test_engine")
 
@@ -55,16 +54,6 @@ class TestExecutorProtocol:
     def test_jit_executor_builds_jit(self, example22_program):
         executor = get_engine("jit").executor(example22_program.copy())
         assert isinstance(executor, JitInterpreter)
-
-    def test_hw_engine_requires_machine(self, example22_program):
-        with pytest.raises(ValueError, match="requires a machine"):
-            get_engine("hw").executor(example22_program.copy())
-
-    def test_hw_executor_runs(self, example22_program, example22_result):
-        executor = get_engine("hw").executor(
-            example22_program.copy(), machine=hw_machine(2))
-        result = executor.run()
-        assert example22_result.output_equal(result)
 
     def test_run_program_engine_dispatch(self, example22_program,
                                          example22_result):

@@ -121,9 +121,10 @@ class TestSpDInteraction:
         noise) as without, on a wide machine."""
         from repro.bench import BenchmarkRunner
         from repro.machine import machine
+        from repro.pipeline import PipelineConfig
         mach = machine(8, 6)
         base = BenchmarkRunner()
-        grafted = BenchmarkRunner(graft=GraftConfig())
+        grafted = BenchmarkRunner(PipelineConfig(graft=GraftConfig()))
         for name in ("perm", "quick", "queen"):
             assert (grafted.spec_over_static(name, mach)
                     >= base.spec_over_static(name, mach) - 0.02), name

@@ -56,7 +56,7 @@ class TestCachedStage:
 
 class TestFingerprints:
     def _fp(self, pipe, mach, kind=Disambiguator.SPEC):
-        return pipe.hw_timing_fingerprint(SOURCE, kind, mach)
+        return pipe.config.hw_timing_fingerprint(SOURCE, kind, mach)
 
     def test_every_machine_knob_is_load_bearing(self, tmp_path):
         pipe = Pipeline(store=ArtifactStore(tmp_path))
@@ -82,8 +82,8 @@ class TestFingerprints:
     def test_distinct_from_static_timing_stage(self, tmp_path):
         from repro.machine.description import machine
         pipe = Pipeline(store=ArtifactStore(tmp_path))
-        static = pipe.timing_fingerprint(SOURCE, Disambiguator.SPEC,
-                                         machine(5, 2))
+        static = pipe.config.timing_fingerprint(SOURCE, Disambiguator.SPEC,
+                                                machine(5, 2))
         assert self._fp(pipe, MACH) != static
 
 

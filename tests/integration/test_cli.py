@@ -393,6 +393,65 @@ class TestFuzz:
         assert "time budget exhausted" in out
 
 
+#: tinyc inputs for the error contract, by failure class
+_BROKEN_SOURCES = {
+    "compile": "int main() { return undeclared; }\n",
+    "runtime": "int main() { int z; z = 0; print(1 / z); return 0; }\n",
+}
+
+
+class TestErrorContract:
+    """Every subcommand that reads a tinyc file fails on bad input with
+    one ``repro: error:`` line on stderr and a documented exit status
+    (``repro.cli`` module docstring), never a traceback."""
+
+    @pytest.mark.parametrize("command, failure, status, message", [
+        (command, failure, status, message)
+        for command in ("run", "compile", "analyze", "schedule", "trace")
+        for failure, status, message in (
+            ("missing", 2, "No such file or directory"),
+            ("directory", 2, "Is a directory"),
+            ("binary", 2, "not a text file"),
+            ("compile", 3, "undeclared identifier"),
+            ("runtime", 4, "runtime error: integer division by zero"))
+        # compile never executes the program
+        if not (command == "compile" and failure == "runtime")
+    ])
+    def test_source_failures(self, tmp_path, capsys, command, failure,
+                             status, message):
+        if failure == "missing":
+            path = tmp_path / "absent.tc"
+        elif failure == "directory":
+            path = tmp_path
+        elif failure == "binary":
+            path = tmp_path / "binary.tc"
+            path.write_bytes(b"\xff\xfe")
+        else:
+            path = tmp_path / f"{failure}.tc"
+            path.write_text(_BROKEN_SOURCES[failure])
+        assert main([command, str(path)]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--corpus", "{bad}"],
+        ["corpus", "stats", "--manifest", "{bad}"],
+        ["corpus", "verify", "--manifest", "{bad}"],
+        ["loadgen", "--corpus", "{bad}"],
+        ["perf", "check", "--against", "{bad}", "--names", "perm"],
+    ])
+    def test_malformed_json_inputs(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json\n")
+        assert main([arg.format(bad=bad) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+
+
 class TestEngineFlag:
     def test_run_engine_choices(self, demo_source, capsys):
         for engine in ("interp", "jit"):

@@ -12,8 +12,9 @@ from repro.bench.runner import BenchmarkRunner
 from repro.disambig.pipeline import Disambiguator
 from repro.experiments import figure6_2
 from repro.machine.description import machine
-from repro.pipeline.core import Pipeline
-from repro.pipeline.executor import TimingJob, ViewJob, run_jobs
+from repro.pipeline.core import Pipeline, PipelineConfig
+from repro.pipeline.executor import (TimingJob, ViewJob, run_jobs,
+                                     worker_pipeline)
 from repro.pipeline.store import ArtifactStore
 
 SOURCE = """
@@ -187,3 +188,17 @@ class TestParallelExperimentEquivalence:
         parallel = figure6_2.run(parallel_runner, names=names, jobs=4)
         assert parallel.to_dict() == serial.to_dict()
         assert parallel.render() == serial.render()
+
+
+class TestWorkerPipeline:
+    """Pool workers and serve workers share one per-process pipeline
+    cache, keyed by the configuration itself and the cache root."""
+
+    def test_one_pipeline_per_config_and_root(self, tmp_path):
+        default = worker_pipeline(PipelineConfig(), None)
+        assert worker_pipeline(PipelineConfig(), None) is default
+        assert default.store.root is None
+        interp = worker_pipeline(PipelineConfig(engine="interp"), None)
+        assert interp is not default and interp.config.engine == "interp"
+        on_disk = worker_pipeline(PipelineConfig(), str(tmp_path))
+        assert on_disk is not default and on_disk.store.root == tmp_path

@@ -1,13 +1,11 @@
-"""ShardedArtifactStore: LRU size budget, shard locks, flat migration."""
+"""ShardedArtifactStore: LRU size budget and shard locks."""
 
 import os
-import pickle
 import threading
 
 import pytest
 
 from repro import obs
-from repro.pipeline.fingerprint import PIPELINE_VERSION
 from repro.pipeline.shards import ShardedArtifactStore
 from repro.pipeline.store import ArtifactStore
 
@@ -99,50 +97,6 @@ class TestShardStats:
         assert stats["bytes"] == store.disk_usage_bytes() > 0
         assert stats["budget_bytes"] == 1 << 20
         assert stats["per_stage"] == {"timing": 1, "view": 2}
-
-
-class TestFlatMigration:
-    def write_flat(self, store, stage, fingerprint, artifact,
-                   version=PIPELINE_VERSION):
-        flat = store._flat_path(stage, fingerprint)
-        flat.parent.mkdir(parents=True, exist_ok=True)
-        with open(flat, "wb") as handle:
-            pickle.dump({"version": version, "artifact": artifact}, handle)
-        return flat
-
-    def test_flat_entry_migrates_on_read(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        flat = self.write_flat(store, "view", fp(1), {"cycles": 7})
-        with obs.tracing() as tracer:
-            assert store.get("view", fp(1)) == {"cycles": 7}
-        assert not flat.exists()
-        assert store._path("view", fp(1)).exists()
-        assert tracer.metrics.counters["pipeline.shard.migrated"] == 1
-        # a cold store now reads it from the sharded location
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) == \
-            {"cycles": 7}
-
-    def test_sharded_entry_wins_over_flat(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        store.put("view", fp(1), "sharded")
-        flat = self.write_flat(store, "view", fp(1), "flat-stale")
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) == "sharded"
-        assert flat.exists()  # untouched: the shard hit short-circuits
-
-    def test_corrupt_flat_entry_dropped(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        flat = store._flat_path("view", fp(1))
-        flat.parent.mkdir(parents=True)
-        flat.write_bytes(b"\x80garbage that is not a pickle")
-        assert store.get("view", fp(1)) is None
-        assert not flat.exists()
-
-    def test_stale_version_flat_entry_dropped(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        flat = self.write_flat(store, "view", fp(1), "old",
-                               version=PIPELINE_VERSION - 1)
-        assert store.get("view", fp(1)) is None
-        assert not flat.exists()
 
 
 class TestShardLocks:

@@ -21,11 +21,11 @@ class TestParseRequest:
         request = parse({"source": SOURCE})
         assert request.endpoint == "compile"
         assert request.kind is Disambiguator.SPEC
-        assert request.engine == "jit"
+        assert request.config.engine == "jit"
         assert request.label == "request"
         assert request.machine.num_fus == 5
         assert request.machine.memory_latency == 2
-        assert request.guard_words == 0
+        assert request.config.guard_words == 0
 
     def test_every_endpoint_is_known(self):
         for endpoint in ENDPOINTS:
@@ -78,13 +78,14 @@ class TestParseRequest:
             "machine": {"fus": 0, "memory": 6},
         }, endpoint="time")
         assert request.kind is Disambiguator.STATIC
-        assert request.engine == "interp"
-        assert request.spd_config.max_expansion == 2.0
-        assert request.spd_config.min_gain == 1.5
-        assert request.spd_config.alias_probability_weighting
-        assert request.graft is not None
-        assert request.passes.cleanup
-        assert request.guard_words == 2
+        config = request.config
+        assert config.engine == "interp"
+        assert config.spd_config.max_expansion == 2.0
+        assert config.spd_config.min_gain == 1.5
+        assert config.spd_config.alias_probability_weighting
+        assert config.graft is not None
+        assert config.passes.cleanup
+        assert config.guard_words == 2
         assert request.machine.is_infinite
         assert request.machine.memory_latency == 6
 
